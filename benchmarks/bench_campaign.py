@@ -1,18 +1,20 @@
-"""Campaign-engine throughput benchmark.
+"""Campaign throughput benchmark: profiling and the two campaign runners.
 
-Measures the three layers the campaign engine accelerates:
+Measures:
 
 - **profiling**: the materialized capture-everything reference
   (``SingleTraceAttack.profile_reference``) vs the one-pass streaming
   path (``profile``), serial and with worker-side segmentation;
-- **attack campaign**: the legacy per-trace serial evaluator
-  (``repro.attack.evaluation.run_campaign``) vs the campaign engine
-  (``repro.attack.campaign.run_campaign``), serial and pooled;
-- the campaign engine's per-stage timing counters.
+- **attack campaign**: the serial reference runner
+  (``repro.attack.campaign.run_campaign``) vs the orchestrator
+  (``repro.attack.orchestrator.run_orchestrated``), whose report must
+  be bit-identical to the serial one (the ``--quick`` CI floor);
+- the serial runner's per-stage timing counters.
 
-Worker numbers depend on core count; on a 1-vCPU container the pool
-pays startup for no gain, so ``--workers`` defaults to serial and CI
-smoke runs serial only.
+Worker numbers depend on core count; on a 1-vCPU container the workers
+pay startup for no gain.  ``--workers`` sizes the profiling pool and
+the orchestrator (default: serial profiling, the orchestrator's own
+default of ``min(4, CPUs)`` workers).
 
 Run directly::
 
@@ -30,8 +32,8 @@ import sys
 import time
 from typing import Dict, Optional
 
-from repro.attack import evaluation
 from repro.attack.campaign import run_campaign
+from repro.attack.orchestrator import run_orchestrated
 from repro.attack.pipeline import SingleTraceAttack
 from repro.power.capture import TraceAcquisition
 from repro.power.scope import Oscilloscope
@@ -85,47 +87,29 @@ def bench_profiling(traces: int, coeffs: int, workers: Optional[int]) -> Dict:
 def bench_campaign(
     attack: SingleTraceAttack, traces: int, coeffs: int, workers: Optional[int]
 ) -> Dict:
-    coefficients = traces * coeffs
     results: Dict = {"traces": traces, "coeffs_per_trace": coeffs}
+    kwargs = dict(trace_count=traces, coeffs_per_trace=coeffs, first_seed=1)
 
-    start = time.perf_counter()
-    evaluation.run_campaign(
-        attack, trace_count=traces, coeffs_per_trace=coeffs, first_seed=1
-    )
-    legacy_s = time.perf_counter() - start
-    results["legacy_serial_s"] = round(legacy_s, 3)
-    results["legacy_serial_coeffs_per_s"] = round(coefficients / legacy_s, 1)
-
-    report = run_campaign(
-        attack, trace_count=traces, coeffs_per_trace=coeffs, first_seed=1
-    )
-    results["engine_serial_s"] = round(report.wall_seconds, 3)
-    results["engine_serial_coeffs_per_s"] = round(
-        report.coefficients_per_second, 1
-    )
-    results["engine_stage_s"] = {
+    report = run_campaign(attack, **kwargs)
+    results["serial_s"] = round(report.wall_seconds, 3)
+    results["serial_coeffs_per_s"] = round(report.coefficients_per_second, 1)
+    results["serial_stage_s"] = {
         k: round(v, 3) for k, v in report.timings.items()
     }
-    results["engine_speedup_vs_legacy"] = round(legacy_s / report.wall_seconds, 2)
 
-    if workers:
-        pooled = run_campaign(
-            attack,
-            trace_count=traces,
-            coeffs_per_trace=coeffs,
-            first_seed=1,
-            workers=workers,
-        )
-        results[f"engine_workers{workers}_s"] = round(pooled.wall_seconds, 3)
-        results[f"engine_workers{workers}_coeffs_per_s"] = round(
-            pooled.coefficients_per_second, 1
-        )
-        same = [a[:3] for a in report.outcomes] == [
-            b[:3] for b in pooled.outcomes
-        ]
-        results["pool_matches_serial"] = same
-        if not same:
-            raise AssertionError("pooled campaign diverged from serial")
+    orchestrated = run_orchestrated(attack, workers=workers, **kwargs)
+    results["orchestrated_workers"] = orchestrated.workers
+    results["orchestrated_s"] = round(orchestrated.wall_seconds, 3)
+    results["orchestrated_coeffs_per_s"] = round(
+        orchestrated.coefficients_per_second, 1
+    )
+    results["orchestrated_speedup"] = round(
+        report.wall_seconds / orchestrated.wall_seconds, 2
+    )
+    same = report.outcomes == orchestrated.outcomes
+    results["orchestrated_matches_serial"] = same
+    if not same:
+        raise AssertionError("orchestrated campaign diverged from serial")
     return results
 
 
@@ -144,7 +128,8 @@ def main(argv=None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="also measure a process pool of this size (default: serial only)",
+        help="profiling pool and orchestrator size (default: serial "
+        "profiling, min(4, CPUs) orchestrator workers)",
     )
     parser.add_argument(
         "--quick", action="store_true", help="CI smoke mode: tiny budgets"
@@ -177,20 +162,17 @@ def main(argv=None) -> int:
               f"({profiling[key + '_slices_per_s']:,.0f} slices/s)")
 
     print(f"Campaign ({args.attack_traces} traces x {args.coeffs} coefficients):")
-    print(f"  legacy serial evaluator  {campaign['legacy_serial_s']:>8.3f} s  "
-          f"({campaign['legacy_serial_coeffs_per_s']:,.0f} coeffs/s)")
-    print(f"  campaign engine, serial  {campaign['engine_serial_s']:>8.3f} s  "
-          f"({campaign['engine_serial_coeffs_per_s']:,.0f} coeffs/s, "
-          f"{campaign['engine_speedup_vs_legacy']:.2f}x)")
+    print(f"  serial reference runner  {campaign['serial_s']:>8.3f} s  "
+          f"({campaign['serial_coeffs_per_s']:,.0f} coeffs/s)")
     stages = "  ".join(
-        f"{k} {v:.2f}s" for k, v in campaign["engine_stage_s"].items()
+        f"{k} {v:.2f}s" for k, v in campaign["serial_stage_s"].items()
     )
-    print(f"  engine stages: {stages}")
-    if args.workers:
-        key = f"engine_workers{args.workers}"
-        print(f"  campaign engine, {args.workers} workers {campaign[key + '_s']:>7.3f} s  "
-              f"({campaign[key + '_coeffs_per_s']:,.0f} coeffs/s)  "
-              f"pool==serial: {campaign['pool_matches_serial']}")
+    print(f"  serial stages: {stages}")
+    print(f"  orchestrator, {campaign['orchestrated_workers']} workers "
+          f"{campaign['orchestrated_s']:>8.3f} s  "
+          f"({campaign['orchestrated_coeffs_per_s']:,.0f} coeffs/s, "
+          f"{campaign['orchestrated_speedup']:.2f}x)  "
+          f"orchestrated==serial: {campaign['orchestrated_matches_serial']}")
 
     if args.json:
         with open(args.json, "w") as fh:

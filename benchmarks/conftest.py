@@ -9,8 +9,8 @@ The ``REVEAL_SCALE`` environment variable scales the trace budgets:
 1.0 (default) runs a reduced but statistically meaningful version of
 the paper's 220,000-profile / 25,000-attack campaign; raise it for
 tighter statistics.  ``REVEAL_WORKERS`` (default: serial) fans
-profiling and the attack campaign across a process pool via the
-campaign engine — results are bit-identical for any worker count.
+profiling across a process pool and runs the attack campaign on the
+orchestrator — results are bit-identical for any worker count.
 """
 
 import os
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.attack.campaign import run_campaign
+from repro.attack.orchestrator import run_orchestrated
 from repro.attack.metrics import ConfusionMatrix
 from repro.attack.pipeline import SingleTraceAttack
 from repro.power.capture import TraceAcquisition
@@ -71,16 +72,15 @@ def attack_corpus(profiled_attack):
 
     The paper captures 25,000 attack traces; we default to
     ``scaled(150) * 8`` coefficients and report the budget used.  The
-    corpus comes off the campaign engine (per-seed noise streams), so
-    it is identical for any ``REVEAL_WORKERS`` value.
+    corpus comes off the serial runner or, with ``REVEAL_WORKERS``, the
+    orchestrator (per-seed noise streams either way), so it is
+    identical for any ``REVEAL_WORKERS`` value.
     """
-    report = run_campaign(
-        profiled_attack,
-        trace_count=scaled(150),
-        coeffs_per_trace=8,
-        first_seed=1,
-        workers=workers(),
-    )
+    kwargs = dict(trace_count=scaled(150), coeffs_per_trace=8, first_seed=1)
+    if workers():
+        report = run_orchestrated(profiled_attack, workers=workers(), **kwargs)
+    else:
+        report = run_campaign(profiled_attack, **kwargs)
     return report.outcomes
 
 

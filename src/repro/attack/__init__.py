@@ -20,11 +20,11 @@ Stages, in order:
    (Table I).
 
 Supporting tools: :mod:`repro.attack.search` (best-first exploration of
-the remaining space), :mod:`repro.attack.evaluation` (serial
-attack-campaign orchestration), :mod:`repro.attack.campaign` (the
-parallel campaign engine with streaming statistics and a profile
-cache), :mod:`repro.attack.orchestrator` (the shared-memory
-work-stealing campaign service with checkpoint/resume, backed by
+the remaining space), :mod:`repro.attack.evaluation` (hint statistics
+and bikz of a campaign), :mod:`repro.attack.campaign` (the serial
+reference campaign runner, its report and a profile cache),
+:mod:`repro.attack.orchestrator` (the shared-memory work-stealing
+parallel campaign runtime with checkpoint/resume, backed by
 :mod:`repro.attack.arena` and :mod:`repro.attack.checkpoint`),
 :mod:`repro.attack.profile_store` (multi-tenant LRU profile store),
 :mod:`repro.attack.cpa` (unprofiled correlation analysis) and
@@ -38,6 +38,7 @@ from repro.attack.campaign import (
     aggregate_outcomes,
     profile_cache_key,
     profiled_attack_cached,
+    run_campaign,
 )
 from repro.attack.checkpoint import CampaignCheckpoint, campaign_fingerprint
 from repro.attack.orchestrator import (
@@ -48,7 +49,7 @@ from repro.attack.orchestrator import (
 )
 from repro.attack.profile_store import ProfileEntry, ProfileStore
 from repro.attack.cpa import correlation_trace, locate_value_leakage
-from repro.attack.evaluation import CampaignResult, run_campaign
+from repro.attack.evaluation import CampaignResult
 from repro.attack.metrics import ConfusionMatrix
 from repro.attack.persistence import load_attack, save_attack
 from repro.attack.pipeline import AttackResult, SingleTraceAttack

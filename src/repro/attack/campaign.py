@@ -1,23 +1,21 @@
-"""Campaign-scale parallel end-to-end attack evaluation.
+"""Campaign-scale end-to-end attack evaluation.
 
 The paper profiles with 220,000 device executions and evaluates on tens
-of thousands of attack traces; :mod:`repro.attack.evaluation` runs that
-loop serially in the parent process.  This module is the throughput
-path:
+of thousands of attack traces.  This module holds the pieces every
+campaign runner shares:
 
-- :func:`run_campaign` fans ``capture -> segment -> classify -> score``
-  for N victim seeds across a process pool.  Every worker does the
-  whole chain locally and ships back only per-coefficient outcomes (a
-  few hundred bytes per trace); with ``engine="lanes"`` each worker
-  captures a whole lane batch through the fused expand→noise→scope
-  pipeline (L×W parallelism).  Every trace's measurement noise is a
-  pure function of ``(batch entropy, seed)`` under the counter-based
-  stream of :mod:`repro.power.noise` — so the report is **identical**
-  for any worker count, lane width or pool scheduling order.
+- :func:`run_campaign` is the serial reference runner: ``capture ->
+  segment -> classify -> score`` for N victim seeds in this process.
+  Every trace's measurement noise is a pure function of ``(batch
+  entropy, seed)`` under the counter-based stream of
+  :mod:`repro.power.noise`, so the parallel runtime
+  (:mod:`repro.attack.orchestrator`) reproduces its report exactly for
+  any worker count or schedule; the golden campaign fixtures pin it.
 - :class:`CampaignReport` aggregates accuracies, the confusion matrix,
   the probability tables (the LWE-with-hints input) and **per-stage
-  wall-time counters**, the honest end-to-end throughput trajectory
-  BENCH_core.json tracks.
+  wall-time counters**; :meth:`CampaignReport.to_result` gives the
+  :class:`~repro.attack.evaluation.CampaignResult` view (hint
+  statistics, bikz estimation).
 - :func:`profiled_attack_cached` keys a profiled attack archive
   (:mod:`repro.attack.persistence`) by a hash of the full attack +
   profiling + bench configuration, so a campaign profiles once per
@@ -29,9 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -44,7 +40,7 @@ from repro.attack.evaluation import CampaignResult
 from repro.attack.metrics import ConfusionMatrix
 from repro.attack.pipeline import ProfilingReport, SingleTraceAttack
 from repro.errors import AttackError
-from repro.power.capture import CapturedTrace, _capture_lane_chunk, _capture_one
+from repro.power.capture import CapturedTrace, _capture_one
 from repro.power.noise import NOISE_STREAM_VERSION
 from repro.riscv.device import effective_engine
 
@@ -71,7 +67,7 @@ class SeedOutcome:
 
 @dataclass
 class CampaignReport:
-    """Aggregated outcome of a parallel attack campaign."""
+    """Aggregated outcome of an attack campaign (serial or orchestrated)."""
 
     outcomes: List[Tuple[int, int, int, Dict[int, float]]] = field(repr=False)
     confusion: ConfusionMatrix = field(repr=False)
@@ -108,8 +104,8 @@ class CampaignReport:
         return [table for _, _, _, table in self.outcomes]
 
     def to_result(self) -> CampaignResult:
-        """The legacy :class:`~repro.attack.evaluation.CampaignResult`
-        view (hint statistics, bikz estimation)."""
+        """The :class:`~repro.attack.evaluation.CampaignResult` view
+        (hint statistics, bikz estimation)."""
         return CampaignResult(
             confusion=self.confusion,
             sign_accuracy=self.sign_accuracy,
@@ -167,7 +163,8 @@ def _attack_seed(
     entropy: int,
     engine: str = "threaded",
 ) -> SeedOutcome:
-    """The whole per-seed chain, shared by the serial path and workers."""
+    """The whole per-seed chain, shared by the serial runner and the
+    orchestrator's workers."""
     acquisition = attack.acquisition
     tick = time.perf_counter()
     captured = _capture_one(
@@ -180,36 +177,6 @@ def _attack_seed(
         engine=engine,
     )
     return _attack_captured(attack, captured, time.perf_counter() - tick)
-
-
-def _attack_lane_chunk(
-    attack: SingleTraceAttack,
-    seeds,
-    count: int,
-    entropy: int,
-    out: Optional[np.ndarray] = None,
-) -> List[SeedOutcome]:
-    """Capture a whole lane chunk at once, then attack each trace.
-
-    The chunk's capture wall time is split evenly across its traces so
-    the aggregated per-stage timings stay comparable to the scalar
-    path's per-seed accounting.  ``out`` is an optional reusable flat
-    sample buffer (the orchestrator's shared-memory scratch slot) for
-    the fused expansion; the attacked outcomes never alias it.
-    """
-    acquisition = attack.acquisition
-    tick = time.perf_counter()
-    captures = _capture_lane_chunk(
-        acquisition.device,
-        acquisition.leakage,
-        acquisition.scope,
-        list(seeds),
-        count,
-        entropy,
-        out=out,
-    )
-    share = (time.perf_counter() - tick) / max(len(captures), 1)
-    return [_attack_captured(attack, captured, share) for captured in captures]
 
 
 def _attack_captured(
@@ -260,53 +227,24 @@ def _attack_captured(
     return outcome
 
 
-# Worker-process state: the profiled attack is shipped once via the
-# pool initializer instead of being pickled into every task.
-_CAMPAIGN_STATE: dict = {}
-
-
-def _campaign_init(attack: SingleTraceAttack, entropy: int) -> None:
-    _CAMPAIGN_STATE["attack"] = attack
-    _CAMPAIGN_STATE["entropy"] = entropy
-
-
-def _campaign_worker(args) -> SeedOutcome:
-    seed, count, engine = args
-    return _attack_seed(
-        _CAMPAIGN_STATE["attack"], seed, count, _CAMPAIGN_STATE["entropy"], engine
-    )
-
-
-def _campaign_lane_worker(args) -> List[SeedOutcome]:
-    seeds, count = args
-    return _attack_lane_chunk(
-        _CAMPAIGN_STATE["attack"], seeds, count, _CAMPAIGN_STATE["entropy"]
-    )
-
-
 def run_campaign(
     attack: SingleTraceAttack,
     trace_count: int,
     coeffs_per_trace: int = 8,
     first_seed: int = 1,
-    workers: Optional[int] = None,
     engine: Optional[str] = None,
-    lanes: Optional[int] = None,
 ) -> CampaignReport:
-    """Attack ``trace_count`` fresh executions, optionally in parallel.
+    """Attack ``trace_count`` fresh executions, serially, in this process.
 
-    The attack must already be profiled.  Noise is drawn from the
-    bench's batch-entropy streams (per-seed), so the report is
-    bit-identical for any ``workers`` value and any pool completion
-    order.  Traces that fail to segment are recorded in
-    ``report.failures`` and excluded from the statistics, as in the
-    serial :func:`repro.attack.evaluation.run_campaign`.
+    The serial reference runner: the attack must already be profiled.
+    Noise is drawn from the bench's batch-entropy streams (per-seed),
+    so :func:`~repro.attack.orchestrator.run_orchestrated` produces the
+    identical report for any worker count.  Traces that fail to segment
+    are recorded in ``report.failures`` and excluded from the
+    statistics.
 
     ``engine`` picks the capture execution engine (``None`` defers to
-    the bench's setting, then ``REVEAL_ENGINE``, then threaded);
-    ``engine="lanes"`` captures ``lanes`` seeds per lock-step batch —
-    composing with ``workers``, which then fan out whole chunks — and
-    still produces the identical report.
+    the bench's setting, then ``REVEAL_ENGINE``, then threaded).
     """
     if attack.templates is None or attack.branch_classifier is None:
         raise AttackError("profile() must run before a campaign")
@@ -318,54 +256,12 @@ def run_campaign(
     )
     entropy = acquisition.batch_entropy()
     start = time.perf_counter()
-    if engine == "lanes":
-        width = getattr(acquisition, "lanes", 64) if lanes is None else int(lanes)
-        if width < 1:
-            raise AttackError(f"lanes must be >= 1, got {width}")
-        seeds = [first_seed + i for i in range(trace_count)]
-        lane_tasks = [
-            (tuple(seeds[i : i + width]), coeffs_per_trace)
-            for i in range(0, trace_count, width)
-        ]
-        if workers is None or workers <= 1 or len(lane_tasks) <= 1:
-            pool_size = 1
-            chunks = [
-                _attack_lane_chunk(attack, chunk_seeds, count, entropy)
-                for chunk_seeds, count in lane_tasks
-            ]
-        else:
-            pool_size = min(workers, len(lane_tasks), (os.cpu_count() or 1) * 4)
-            with ProcessPoolExecutor(
-                max_workers=pool_size,
-                initializer=_campaign_init,
-                initargs=(attack, entropy),
-            ) as pool:
-                chunk = max(1, len(lane_tasks) // (pool_size * 4))
-                chunks = list(
-                    pool.map(_campaign_lane_worker, lane_tasks, chunksize=chunk)
-                )
-        results = [outcome for chunk_results in chunks for outcome in chunk_results]
-    else:
-        tasks = [
-            (first_seed + i, coeffs_per_trace, engine) for i in range(trace_count)
-        ]
-        if workers is None or workers <= 1 or trace_count <= 1:
-            pool_size = 1
-            results = [
-                _attack_seed(attack, seed, count, entropy, task_engine)
-                for seed, count, task_engine in tasks
-            ]
-        else:
-            pool_size = min(workers, trace_count, (os.cpu_count() or 1) * 4)
-            with ProcessPoolExecutor(
-                max_workers=pool_size,
-                initializer=_campaign_init,
-                initargs=(attack, entropy),
-            ) as pool:
-                chunk = max(1, trace_count // (pool_size * 4))
-                results = list(pool.map(_campaign_worker, tasks, chunksize=chunk))
+    results = [
+        _attack_seed(attack, first_seed + i, coeffs_per_trace, entropy, engine)
+        for i in range(trace_count)
+    ]
     wall = time.perf_counter() - start
-    return aggregate_outcomes(results, trace_count, wall, pool_size, engine)
+    return aggregate_outcomes(results, trace_count, wall, 1, engine)
 
 
 def aggregate_outcomes(

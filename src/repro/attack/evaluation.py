@@ -1,21 +1,20 @@
-"""Attack-campaign evaluation: run many single-trace attacks, aggregate.
+"""Attack-campaign evaluation: hint statistics and bikz of a campaign.
 
-The paper evaluates with 25,000 attack traces; this module packages the
-loop the benchmarks perform - capture, attack, score, convert to hints,
-estimate bikz - behind one call, so downstream users reproduce the
-whole evaluation with a few lines.
+The paper evaluates with 25,000 attack traces and turns the recovered
+probability tables into lattice hints.  :class:`CampaignResult` is that
+last step — convert to hints, estimate bikz — over the outcome of a
+campaign run (``run_campaign(...).to_result()``, see
+:mod:`repro.attack.campaign`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from repro.attack.branch import sign_of
 from repro.attack.metrics import ConfusionMatrix
-from repro.attack.pipeline import SingleTraceAttack
 from repro.errors import AttackError
 from repro.hints.estimator import beta_for_dbdd, bikz_to_bits
 from repro.hints.hintgen import hints_from_probability_tables
@@ -74,46 +73,3 @@ class CampaignResult:
                 f"(2^{bikz_to_bits(beta):.1f})",
             ]
         )
-
-
-def run_campaign(
-    attack: SingleTraceAttack,
-    trace_count: int,
-    coeffs_per_trace: int = 8,
-    first_seed: int = 1,
-) -> CampaignResult:
-    """Capture and attack ``trace_count`` fresh executions.
-
-    The attack must already be profiled.  Traces that fail to segment
-    are skipped (and counted against nothing, as in a real campaign).
-    """
-    if attack.templates is None:
-        raise AttackError("profile() must run before a campaign")
-    confusion = ConfusionMatrix()
-    tables: List[Dict[int, float]] = []
-    sign_hits = value_hits = total = 0
-    for seed in range(first_seed, first_seed + trace_count):
-        captured = attack.acquisition.capture(seed, coeffs_per_trace)
-        try:
-            result = attack.attack(captured)
-        except AttackError:
-            continue
-        if len(result.estimates) != len(captured.values):
-            continue
-        for value, sign, estimate, table in zip(
-            captured.values, result.signs, result.estimates, result.probabilities
-        ):
-            total += 1
-            sign_hits += sign_of(value) == sign
-            value_hits += estimate == value
-            confusion.record(value, estimate)
-            tables.append(table)
-    if total == 0:
-        raise AttackError("no trace in the campaign could be attacked")
-    return CampaignResult(
-        confusion=confusion,
-        sign_accuracy=sign_hits / total,
-        value_accuracy=value_hits / total,
-        coefficients_attacked=total,
-        probability_tables=tables,
-    )

@@ -1,10 +1,9 @@
 """Shared-memory, work-stealing campaign orchestrator.
 
-:func:`repro.attack.campaign.run_campaign` is a one-shot function: it
-spins a fresh process pool per call, ships every task through pickled
-queue messages, and a killed run loses everything.  This module is the
-service layer ROADMAP item 2 asks for — a persistent campaign engine
-where **no trace, slice or result array is ever pickled**:
+:func:`repro.attack.campaign.run_campaign` is the serial reference
+runner.  This module is the one parallel campaign runtime — a
+persistent campaign engine where **no trace, slice or result array is
+ever pickled**:
 
 - **Workers are persistent.**  :class:`Orchestrator` forks its worker
   processes once; every later :meth:`~Orchestrator.submit` reuses them
@@ -59,14 +58,13 @@ from repro.attack.campaign import (
     STAGES,
     CampaignReport,
     SeedOutcome,
-    _attack_lane_chunk,
     _attack_seed,
     aggregate_outcomes,
 )
 from repro.attack.checkpoint import CampaignCheckpoint, campaign_fingerprint
 from repro.attack.pipeline import SingleTraceAttack
 from repro.errors import AttackError, ParameterError, VerificationError
-from repro.riscv.device import resolve_engine
+from repro.riscv.device import effective_engine
 
 try:  # pragma: no cover - always present on CPython >= 3.8
     from multiprocessing import shared_memory as _shared_memory
@@ -96,7 +94,6 @@ class JobSpec:
     grain: int
     min_steal: int
     engine: str
-    lanes: int
     n_labels: int
     backend: Optional[str] = None
 
@@ -460,8 +457,6 @@ def _worker_main(
     table_lock,
     record_arena: SliceArena,
     record_slots: Tuple[int, int],
-    scratch_arena: Optional[SliceArena],
-    scratch_slot: int,
     slot_sem,
     stop_event,
 ) -> None:
@@ -480,8 +475,6 @@ def _worker_main(
                 table_lock,
                 record_arena,
                 record_slots,
-                scratch_arena,
-                scratch_slot,
                 slot_sem,
                 stop_event,
             )
@@ -503,8 +496,6 @@ def _worker_job(
     table_lock,
     record_arena: SliceArena,
     record_slots: Tuple[int, int],
-    scratch_arena: Optional[SliceArena],
-    scratch_slot: int,
     slot_sem,
     stop_event,
 ) -> None:
@@ -515,9 +506,6 @@ def _worker_job(
             set_backend(spec.backend)
     labels = [int(l) for l in attack.templates.labels]
     groups = _sign_groups(labels)
-    scratch = None
-    if spec.engine == "lanes" and scratch_arena is not None:
-        scratch = scratch_arena.scratch(scratch_slot)
     toggle = 0
     while not stop_event.is_set():
         if not table_lock.acquire(timeout=_LOCK_TIMEOUT):
@@ -529,20 +517,10 @@ def _worker_job(
         if claim is None:
             return
         lo, hi = claim
-        outcomes: List[SeedOutcome] = []
-        if spec.engine == "lanes":
-            for base in range(lo, hi, spec.lanes):
-                seeds = list(range(base, min(base + spec.lanes, hi)))
-                outcomes.extend(
-                    _attack_lane_chunk(
-                        attack, seeds, spec.count, spec.entropy, out=scratch
-                    )
-                )
-        else:
-            outcomes.extend(
-                _attack_seed(attack, seed, spec.count, spec.entropy, spec.engine)
-                for seed in range(lo, hi)
-            )
+        outcomes = [
+            _attack_seed(attack, seed, spec.count, spec.entropy, spec.engine)
+            for seed in range(lo, hi)
+        ]
         for chunk in _chunk_outcomes(
             outcomes, record_arena.slot_bytes, spec.count, spec.n_labels
         ):
@@ -688,9 +666,7 @@ class Orchestrator:
         grain: Optional[int] = None,
         min_steal: int = 8,
         engine: Optional[str] = None,
-        lanes: Optional[int] = None,
         record_slot_bytes: Optional[int] = None,
-        scratch_bytes: int = 8 << 20,
         start_method: Optional[str] = None,
         respawn: bool = True,
     ) -> None:
@@ -699,15 +675,15 @@ class Orchestrator:
         self.attack = attack
         acquisition = attack.acquisition
         self.workers = max(1, int(workers) if workers else min(4, os.cpu_count() or 1))
-        self.engine = resolve_engine(
+        # effective_engine, like run_campaign: "compiled" degrades to
+        # "threaded" without a C toolchain, and reports record the
+        # engine that actually ran.
+        self.engine = effective_engine(
             engine if engine is not None else getattr(acquisition, "engine", None)
         )
-        width = lanes if lanes is not None else getattr(acquisition, "lanes", 64)
-        self.lanes = max(1, int(width or 64))
-        self.grain = max(1, int(grain) if grain else (self.lanes if self.engine == "lanes" else 32))
+        self.grain = max(1, int(grain) if grain else 32)
         self.min_steal = max(1, int(min_steal))
         self.record_slot_bytes = record_slot_bytes
-        self.scratch_bytes = int(scratch_bytes)
         self.respawn = respawn
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -759,11 +735,6 @@ class Orchestrator:
         self._record_arena = SliceArena(
             slots=2 * self.workers, slot_bytes=self.record_slot_bytes
         )
-        self._scratch_arena = None
-        if self.engine == "lanes":
-            self._scratch_arena = SliceArena(
-                slots=self.workers, slot_bytes=self.scratch_bytes
-            )
         self._started = True
         for worker in range(self.workers):
             self._spawn(worker)
@@ -782,8 +753,6 @@ class Orchestrator:
                 self._table_lock,
                 self._record_arena,
                 (2 * worker, 2 * worker + 1),
-                self._scratch_arena,
-                worker,
                 sem,
                 self._stop,
             ),
@@ -856,7 +825,6 @@ class Orchestrator:
                 grain=self.grain,
                 min_steal=self.min_steal,
                 engine=self.engine,
-                lanes=self.lanes,
                 n_labels=len(self._labels),
                 backend=backend_name,
             )
@@ -1189,8 +1157,7 @@ class Orchestrator:
             "steals": job.base_counters.get("steals", 0) + counters["steals"],
             "grains": job.base_counters.get("grains", 0) + counters["grains"],
             "checkpoints": job.checkpoints_written,
-            "arena_bytes": self._record_arena.total_bytes
-            + (self._scratch_arena.total_bytes if self._scratch_arena else 0),
+            "arena_bytes": self._record_arena.total_bytes,
             "workers_died": job.workers_died,
             "messages": job.messages,
         }
@@ -1225,8 +1192,6 @@ class Orchestrator:
                     proc.terminate()
                     proc.join(timeout=1.0)
             self._record_arena.close()
-            if self._scratch_arena is not None:
-                self._scratch_arena.close()
             self._table.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC ordering varies
@@ -1248,7 +1213,6 @@ def run_orchestrated(
     grain: Optional[int] = None,
     min_steal: int = 8,
     engine: Optional[str] = None,
-    lanes: Optional[int] = None,
     campaign_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     shard_size: int = 256,
@@ -1261,7 +1225,6 @@ def run_orchestrated(
         grain=grain,
         min_steal=min_steal,
         engine=engine,
-        lanes=lanes,
     ) as orchestrator:
         job = orchestrator.submit(
             trace_count,

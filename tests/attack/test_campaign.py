@@ -1,4 +1,4 @@
-"""Tests for the parallel campaign engine and the profile cache."""
+"""Tests for the serial reference campaign runner and the profile cache."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,12 @@ from repro.attack.campaign import (
     profiled_attack_cached,
     run_campaign,
 )
+from repro.attack.orchestrator import run_orchestrated
 from repro.attack.pipeline import SingleTraceAttack
 from repro.errors import AttackError
 from repro.power.capture import TraceAcquisition
 from repro.power.scope import Oscilloscope
-from repro.riscv.device import GaussianSamplerDevice
+from repro.riscv.device import GaussianSamplerDevice, effective_engine
 
 PAPER_Q = 132120577
 
@@ -43,9 +44,10 @@ class TestRunCampaign:
         serial = run_campaign(
             profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1
         )
-        pooled = run_campaign(
+        # The parallel runtime on the other fast engine: same report.
+        pooled = run_orchestrated(
             profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1,
-            workers=2,
+            workers=2, engine="compiled",
         )
         assert pooled.workers == 2
         assert [o[:3] for o in serial.outcomes] == [o[:3] for o in pooled.outcomes]
@@ -76,34 +78,24 @@ class TestRunCampaign:
         stats = result.hint_statistics()
         assert 0.0 <= stats["perfect_fraction"] <= 1.0
 
-    def test_lanes_bit_identical_to_threaded(self, profiled_attack):
+    def test_compiled_bit_identical_to_threaded(self, profiled_attack):
         threaded = run_campaign(
-            profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1
-        )
-        lanes = run_campaign(
             profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1,
-            engine="lanes", lanes=4,
+            engine="threaded",
         )
-        assert lanes.engine == "lanes" and threaded.engine == "threaded"
-        assert [o[:3] for o in threaded.outcomes] == [o[:3] for o in lanes.outcomes]
-        for a, b in zip(threaded.outcomes, lanes.outcomes):
+        compiled = run_campaign(
+            profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1,
+            engine="compiled",
+        )
+        # Without a C toolchain "compiled" runs (and reports) threaded.
+        ran = effective_engine("compiled")
+        assert compiled.engine == ran and threaded.engine == "threaded"
+        assert [o[:3] for o in threaded.outcomes] == [o[:3] for o in compiled.outcomes]
+        for a, b in zip(threaded.outcomes, compiled.outcomes):
             assert a[3] == b[3]
-        assert threaded.sign_accuracy == lanes.sign_accuracy
-        assert threaded.value_accuracy == lanes.value_accuracy
-        assert "lanes engine" in lanes.format_timings()
-
-    def test_lanes_pool_bit_identical_to_lanes_serial(self, profiled_attack):
-        serial = run_campaign(
-            profiled_attack, trace_count=8, coeffs_per_trace=3, first_seed=1,
-            engine="lanes", lanes=2,
-        )
-        pooled = run_campaign(
-            profiled_attack, trace_count=8, coeffs_per_trace=3, first_seed=1,
-            engine="lanes", lanes=2, workers=2,
-        )
-        assert pooled.workers == 2
-        assert [o[:3] for o in serial.outcomes] == [o[:3] for o in pooled.outcomes]
-        assert serial.sign_accuracy == pooled.sign_accuracy
+        assert threaded.sign_accuracy == compiled.sign_accuracy
+        assert threaded.value_accuracy == compiled.value_accuracy
+        assert f"{ran} engine" in compiled.format_timings()
 
     def test_summary_mentions_budget(self, profiled_attack):
         report = run_campaign(

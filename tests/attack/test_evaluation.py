@@ -1,8 +1,8 @@
-"""Tests for the attack-campaign evaluation API."""
+"""Tests for the attack-campaign evaluation API (``CampaignResult``)."""
 
 import pytest
 
-from repro.attack.evaluation import CampaignResult, run_campaign
+from repro.attack.campaign import run_campaign
 from repro.attack.pipeline import SingleTraceAttack
 from repro.errors import AttackError
 
@@ -10,7 +10,7 @@ from repro.errors import AttackError
 @pytest.fixture(scope="module")
 def campaign(bench, profiled_attack):
     return run_campaign(profiled_attack, trace_count=12, coeffs_per_trace=4,
-                        first_seed=8000)
+                        first_seed=8000).to_result()
 
 
 class TestCampaign:

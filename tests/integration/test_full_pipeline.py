@@ -10,7 +10,7 @@ recover the encryption sample, and equation (3) yields the plaintext.
 import numpy as np
 import pytest
 
-from repro.attack.evaluation import run_campaign
+from repro.attack.campaign import run_campaign
 from repro.attack.pipeline import SingleTraceAttack
 from repro.bfv.decryptor import Decryptor
 from repro.bfv.device_encryptor import DeviceBackedEncryptor
@@ -114,7 +114,7 @@ class TestFullPipeline:
         _, _, _, adversary = world
         campaign = run_campaign(
             adversary, trace_count=10, coeffs_per_trace=4, first_seed=95_000
-        )
+        ).to_result()
         # the toy-scale profiling corpus (900 slices) leaves the branch
         # classifier a little short of the full-scale 100%
         assert campaign.sign_accuracy >= 0.9

@@ -163,7 +163,6 @@ def test_engine_registered():
     assert "compiled" in ENGINES
     assert ("reference", "compiled") in conformance.ENGINE_PAIRS
     assert ("threaded", "compiled") in conformance.ENGINE_PAIRS
-    assert ("compiled", "lanes") in conformance.ENGINE_PAIRS
 
 
 def test_device_parity_with_threaded():
@@ -224,6 +223,18 @@ def test_disable_env_forces_threaded_fallback(monkeypatch):
         run = device.run(3, 2, engine="compiled")
         assert len(run.values) == 2
         assert device._compiled_program is None
+        # Both campaign runners record the engine that actually ran.
+        from repro.attack.campaign import run_campaign
+        from repro.attack.orchestrator import Orchestrator
+        from repro.attack.pipeline import SingleTraceAttack
+        from repro.power.capture import TraceAcquisition
+
+        attack = SingleTraceAttack(TraceAcquisition(device, rng=0), poi_count=8)
+        attack.profile(num_traces=20, coeffs_per_trace=4, first_seed=1000)
+        report = run_campaign(attack, 1, coeffs_per_trace=2, engine="compiled")
+        assert report.engine == "threaded"
+        with Orchestrator(attack, workers=1, engine="compiled") as orchestrator:
+            assert orchestrator.engine == "threaded"
     finally:
         monkeypatch.delenv("REVEAL_DISABLE_COMPILED")
         reset_probe()
@@ -232,13 +243,16 @@ def test_disable_env_forces_threaded_fallback(monkeypatch):
 def test_effective_engine_passes_through_other_engines():
     assert effective_engine("threaded") == "threaded"
     assert effective_engine("interpreter") == "reference"
-    assert effective_engine("lanes") == "lanes"
+    assert effective_engine("reference") == "reference"
 
 
 def test_engine_filter_validation():
     try:
-        with pytest.raises(ValueError, match="unknown engine"):
-            conformance.set_engine_filter(["reference", "warp"])
+        for name in ("warp", "lanes"):
+            with pytest.raises(
+                ValueError, match=r"\(choose from reference, threaded, compiled\)"
+            ):
+                conformance.set_engine_filter(["reference", name])
         with pytest.raises(ValueError, match="at least two"):
             conformance.set_engine_filter(["reference"])
         conformance.set_engine_filter(["reference", "threaded"])

@@ -99,8 +99,8 @@ SUBMODULES = [
     "repro.riscv.cycles",
     "repro.riscv.device",
     "repro.riscv.disasm",
+    "repro.riscv.compiled",
     "repro.riscv.isa",
-    "repro.riscv.lanes",
     "repro.riscv.memory",
     "repro.riscv.threaded",
     "repro.riscv.programs.gaussian",

@@ -37,18 +37,28 @@ class TestCli:
         assert "threaded engine" in out
 
     def test_table1_engine_flag(self, capsys):
-        main(["table1", "--traces", "8", "--engine", "lanes"])
+        from repro.riscv.device import effective_engine
+
+        main(["table1", "--traces", "8", "--engine", "compiled",
+              "--workers", "2"])
         out = capsys.readouterr().out
         assert "Table I" in out
-        assert "lanes engine" in out
+        assert f"{effective_engine('compiled')} engine" in out
+        # --workers runs the attack phase on the orchestrator.
+        assert "2 worker(s)" in out and "orchestrator:" in out
 
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "--engine", "warp"])
+    def test_rejects_unknown_engine(self, capsys):
+        for name in ("warp", "lanes"):
+            with pytest.raises(SystemExit):
+                main(["table1", "--engine", name])
+            err = capsys.readouterr().err
+            assert "'interpreter', 'threaded', 'compiled'" in err
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "--backend", "cuda"])
+    def test_rejects_unknown_backend(self, capsys):
+        for name in ("cuda", "numba"):
+            with pytest.raises(SystemExit):
+                main(["table1", "--backend", name])
+            assert "'reference', 'native')" in capsys.readouterr().err
 
     def test_bad_backend_env_caught_at_parse_time(self, monkeypatch):
         from repro.errors import ParameterError
